@@ -32,11 +32,6 @@ impl RangeSet {
         }
     }
 
-    /// Number of disjoint ranges.
-    pub fn range_count(&self) -> usize {
-        self.ranges.len()
-    }
-
     /// Total sequence numbers contained. O(1).
     pub fn len(&self) -> u64 {
         self.total
@@ -56,11 +51,6 @@ impl RangeSet {
     /// The ranges, sorted ascending.
     pub fn ranges(&self) -> &[(u64, u64)] {
         &self.ranges
-    }
-
-    /// True if `seq` is contained.
-    pub fn contains(&self, seq: u64) -> bool {
-        self.find(seq).is_some()
     }
 
     /// The range containing `seq`, if any.
@@ -143,19 +133,16 @@ impl RangeSet {
     /// Remove everything strictly below `cutoff`; returns how many
     /// sequence numbers were removed.
     pub fn remove_below(&mut self, cutoff: u64) -> u64 {
-        let mut removed = 0;
-        self.ranges.retain_mut(|r| {
-            if r.1 <= cutoff {
-                removed += r.1 - r.0;
-                false
-            } else {
-                if r.0 < cutoff {
-                    removed += cutoff - r.0;
-                    r.0 = cutoff;
-                }
-                true
+        // The ranges wholly below `cutoff` form a prefix; at most the first
+        // range after it straddles the cutoff and is trimmed in place.
+        let n = self.ranges.partition_point(|&(_, e)| e <= cutoff);
+        let mut removed: u64 = self.ranges.drain(..n).map(|(s, e)| e - s).sum();
+        if let Some(first) = self.ranges.first_mut() {
+            if first.0 < cutoff {
+                removed += cutoff - first.0;
+                first.0 = cutoff;
             }
-        });
+        }
         self.total -= removed;
         removed
     }
@@ -172,35 +159,23 @@ impl RangeSet {
         }
         None
     }
-
-    /// The lowest contained sequence ≥ `from`, if any.
-    pub fn first_at_or_after(&self, from: u64) -> Option<u64> {
-        for &(s, e) in &self.ranges {
-            if e > from {
-                return Some(s.max(from));
-            }
-        }
-        None
-    }
-
-    /// The highest contained sequence number, if any.
-    pub fn max(&self) -> Option<u64> {
-        self.ranges.last().map(|&(_, e)| e - 1)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn has(r: &RangeSet, seq: u64) -> bool {
+        r.find(seq).is_some()
+    }
+
     #[test]
     fn insert_and_merge() {
         let mut r = RangeSet::new();
         assert!(r.insert(5));
         assert!(r.insert(7));
-        assert_eq!(r.range_count(), 2);
+        assert_eq!(r.ranges(), &[(5, 6), (7, 8)]);
         assert!(r.insert(6)); // bridges 5..6 and 7..8
-        assert_eq!(r.range_count(), 1);
         assert_eq!(r.ranges(), &[(5, 8)]);
         assert!(!r.insert(6)); // duplicate
         assert_eq!(r.len(), 3);
@@ -216,12 +191,12 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_find() {
+    fn find_returns_the_containing_range() {
         let mut r = RangeSet::new();
         for s in [3, 4, 8, 9, 10] {
             r.insert(s);
         }
-        assert!(r.contains(3) && r.contains(4) && !r.contains(5));
+        assert!(has(&r, 3) && has(&r, 4) && !has(&r, 5));
         assert_eq!(r.find(9), Some((8, 11)));
         assert_eq!(r.find(7), None);
     }
@@ -251,19 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn first_at_or_after_scans() {
-        let mut r = RangeSet::new();
-        for s in [5, 6, 10] {
-            r.insert(s);
-        }
-        assert_eq!(r.first_at_or_after(0), Some(5));
-        assert_eq!(r.first_at_or_after(6), Some(6));
-        assert_eq!(r.first_at_or_after(7), Some(10));
-        assert_eq!(r.first_at_or_after(11), None);
-        assert_eq!(r.max(), Some(10));
-    }
-
-    #[test]
     fn insert_range_merges_overlaps() {
         let mut r = RangeSet::new();
         r.insert_range(10, 15);
@@ -274,7 +236,7 @@ mod tests {
         r.insert_range(5, 10); // adjacent: merges with both neighbours
         assert_eq!(r.ranges(), &[(0, 25)]);
         r.insert_range(30, 30); // empty: no-op
-        assert_eq!(r.range_count(), 1);
+        assert_eq!(r.ranges().len(), 1);
     }
 
     #[test]
@@ -293,7 +255,7 @@ mod tests {
             assert_eq!(rs.len(), model.len() as u64);
         }
         for x in 0..250 {
-            assert_eq!(rs.contains(x), model.contains(&x), "at {x}");
+            assert_eq!(has(&rs, x), model.contains(&x), "at {x}");
         }
     }
 
@@ -309,7 +271,7 @@ mod tests {
         }
         assert_eq!(rs.len(), model.len() as u64);
         for x in 0..300 {
-            assert_eq!(rs.contains(x), model.contains(&x), "at {x}");
+            assert_eq!(has(&rs, x), model.contains(&x), "at {x}");
         }
         // Ranges are disjoint and sorted.
         for w in rs.ranges().windows(2) {
@@ -322,10 +284,7 @@ mod tests {
         let mut r = RangeSet::new();
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
-        assert!(!r.contains(0));
         assert_eq!(r.find(0), None);
-        assert_eq!(r.max(), None);
-        assert_eq!(r.first_at_or_after(0), None);
         assert_eq!(r.remove_below(u64::MAX), 0);
         assert_eq!(r.take_leading(0), None);
         r.insert_range(5, 5); // empty range: no-op
@@ -343,14 +302,11 @@ mod tests {
         assert!(r.insert(top));
         assert!(!r.insert(top)); // duplicate at the boundary
         assert_eq!(r.ranges(), &[(top, u64::MAX)]);
-        assert!(r.contains(top));
-        assert_eq!(r.max(), Some(top));
         assert_eq!(r.find(top), Some((top, u64::MAX)));
 
         r.insert_range(u64::MAX - 10, u64::MAX);
         assert_eq!(r.ranges(), &[(u64::MAX - 10, u64::MAX)]);
         assert_eq!(r.len(), 10);
-        assert_eq!(r.first_at_or_after(top), Some(top));
         assert_eq!(r.remove_below(u64::MAX), 10);
         assert!(r.is_empty());
     }
@@ -395,5 +351,42 @@ mod tests {
         // Cutoff inside a range trims it in place.
         assert_eq!(r.remove_below(35), 5);
         assert_eq!(r.ranges(), &[(35, 40)]);
+    }
+
+    #[test]
+    fn random_remove_below_matches_btreeset() {
+        use pi2_simcore::Rng;
+        let mut rng = Rng::new(33);
+        let mut rs = RangeSet::new();
+        let mut model = std::collections::BTreeSet::new();
+        for _ in 0..2000 {
+            if rng.range_u64(0, 3) > 0 {
+                let s = rng.range_u64(0, 300);
+                let e = s + rng.range_u64(1, 12);
+                rs.insert_range(s, e);
+                model.extend(s..e);
+                continue;
+            }
+            // Cutoffs inside a range, exactly at a range start or end, in
+            // a gap, and past the end.
+            let ranges = rs.ranges();
+            let cutoff = match (rng.range_u64(0, 4), ranges.is_empty()) {
+                (_, true) | (0, _) => rng.range_u64(0, 320),
+                (1, _) => ranges[rng.range_u64(0, ranges.len() as u64) as usize].0,
+                (2, _) => ranges[rng.range_u64(0, ranges.len() as u64) as usize].1,
+                _ => ranges[ranges.len() - 1].1 + rng.range_u64(0, 5),
+            };
+            let before = model.len();
+            model.retain(|&m| m >= cutoff);
+            assert_eq!(rs.remove_below(cutoff), (before - model.len()) as u64);
+            assert_eq!(rs.len(), model.len() as u64);
+            assert!(rs.ranges().iter().all(|&(s, e)| cutoff <= s && s < e));
+            assert!(rs.ranges().windows(2).all(|w| w[0].1 < w[1].0));
+            assert!(rs
+                .ranges()
+                .iter()
+                .flat_map(|&(s, e)| s..e)
+                .eq(model.iter().copied()));
+        }
     }
 }

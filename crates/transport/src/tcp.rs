@@ -189,10 +189,14 @@ pub struct TcpSource {
     recovery_inflation: u64,
     /// SACK scoreboard: sequences the receiver holds above `snd_una`.
     sacked: RangeSet,
-    /// Sequences deemed lost (unsacked holes below the highest SACK; valid
-    /// because the simulated path never reorders).
+    /// Sequences deemed lost: un-SACKed holes with at least `DUP_THRESH`
+    /// SACKed segments above them (the RFC 6675 `IsLost` rule, which
+    /// tolerates path reordering; see `mark_lost_holes`), plus `snd_una`
+    /// on a pure-dupack recovery entry. Invariant between ACKs:
+    /// `lost ∩ sacked = ∅` (`apply_sack` relies on it).
     lost: SeqSet,
-    /// Lost sequences whose retransmission is currently in flight.
+    /// Lost sequences whose retransmission is currently in flight; always
+    /// a subset of `lost`.
     rtx_out: SeqSet,
     /// Everything below this was already classified by `mark_lost_holes`,
     /// so each call scans only the newly-eligible window instead of
@@ -367,23 +371,22 @@ impl TcpSource {
     }
 
     /// Fold a SACK-block update into the scoreboard.
+    ///
+    /// A hole that later gets SACKed was repaired: it is no longer lost.
+    /// Every site that adds to `lost` adds only un-SACKed sequences, so
+    /// before this ACK `lost ∩ sacked = ∅` (and `rtx_out ⊆ lost`); only
+    /// this ACK's blocks can newly overlap `lost`, and removing exactly
+    /// their windows costs O(log n) per block instead of a pass over the
+    /// whole scoreboard.
     fn apply_sack(&mut self, ack: &Ack) {
-        // Steady-state ACKs carry no blocks; nothing below can change.
-        if ack.sack.iter().all(Option::is_none) {
-            return;
-        }
-        for block in ack.sack.iter().flatten() {
-            let (s, e) = *block;
+        for &(s, e) in ack.sack.iter().flatten() {
             let s = s.max(self.snd_una);
             if s < e {
-                self.sacked.insert_range(s, e.min(self.snd_nxt));
+                let e = e.min(self.snd_nxt);
+                self.sacked.insert_range(s, e);
+                self.lost.remove_range(s, e);
+                self.rtx_out.remove_range(s, e);
             }
-        }
-        // A hole that later gets SACKed was repaired: it is no longer lost.
-        if !self.lost.is_empty() {
-            let sacked = &self.sacked;
-            self.lost.retain(|&seq| !sacked.contains(seq));
-            self.rtx_out.retain(|&seq| !sacked.contains(seq));
         }
     }
 
@@ -418,15 +421,14 @@ impl TcpSource {
         if cur >= cutoff {
             return;
         }
-        for &(s, e) in self.sacked.ranges() {
-            if e <= cur {
-                continue;
-            }
+        let ranges = self.sacked.ranges();
+        let first = ranges.partition_point(|&(_, e)| e <= cur);
+        for &(s, e) in &ranges[first..] {
             if s >= cutoff {
                 break;
             }
             if s > cur {
-                self.lost.insert_run(cur, s.min(cutoff));
+                self.lost.insert_run(cur, s);
             }
             cur = e;
             if cur >= cutoff {
@@ -1569,5 +1571,109 @@ mod tests {
             "flow starved under ACK loss: {} pkts",
             acc.dequeued_pkts
         );
+    }
+
+    /// The scoreboard invariant `apply_sack`'s block-local removal rests
+    /// on: nothing lost is SACKed, and every in-flight repair is of a lost
+    /// sequence.
+    fn assert_scoreboard_invariant(src: &TcpSource, ctx: &str) {
+        for &seq in src.lost.iter() {
+            assert!(
+                src.sacked.find(seq).is_none(),
+                "{ctx}: lost {seq} is SACKed"
+            );
+        }
+        for &seq in src.rtx_out.iter() {
+            assert_eq!(
+                src.lost.first_at_or_after(seq),
+                Some(seq),
+                "{ctx}: repair {seq} in flight but not lost"
+            );
+        }
+    }
+
+    /// Exactness oracle for the SACK scoreboard. A modelled receiver holds
+    /// a random subset of the sent data and answers with SACK blocks at
+    /// random offsets; the sender sees those ACKs fresh, duplicated or
+    /// stale (reordered), with partial ACKs and RTOs in mid-episode. The
+    /// invariant must hold after every event: with it, removing only each
+    /// ACK's own block windows from `lost`/`rtx_out` equals filtering both
+    /// sets against the whole scoreboard.
+    #[test]
+    fn scoreboard_invariant_holds_under_random_ack_streams() {
+        let (mut episodes, mut partials, mut rtos, mut stale) = (0, 0, 0, 0);
+        let mut max_lost = 0;
+        for seed in 0..24 {
+            let mut rng = Rng::new(0x5AC0 + seed);
+            let (mut sim, mut src) = bench_sender(CcKind::Cubic);
+            // Receiver model, as `handle_receiver_side` keeps it.
+            let mut rcv_nxt = 0;
+            let mut ooo = RangeSet::new();
+            let mut pkts_total = 0;
+            let mut sent_acks: Vec<Ack> = Vec::new();
+            // A loss-free slow start first, so episodes begin with a
+            // window of hundreds of packets, as on the high-BDP paths.
+            let warm_up = rng.range_u64(10, 40);
+            for step in 0..400 {
+                // Some of what is in flight arrives: mostly random
+                // sequences (the rest stay holes), sometimes the lowest
+                // hole, which makes the next ACK a partial one.
+                for _ in 0..rng.range_u64(1, 16) {
+                    if src.snd_nxt <= rcv_nxt {
+                        break;
+                    }
+                    let seq = if step < warm_up || rng.range_u64(0, 8) == 0 {
+                        rcv_nxt
+                    } else {
+                        rng.range_u64(rcv_nxt, src.snd_nxt)
+                    };
+                    pkts_total += 1;
+                    if seq == rcv_nxt {
+                        rcv_nxt += 1;
+                        if let Some((_, end)) = ooo.take_leading(rcv_nxt) {
+                            rcv_nxt = end;
+                        }
+                    } else {
+                        ooo.insert(seq);
+                    }
+                }
+                let mut fresh = ack(rcv_nxt, 0, pkts_total, rng.range_u64(0, 2) == 0);
+                let ranges = ooo.ranges();
+                for slot in fresh.sack.iter_mut() {
+                    if !ranges.is_empty() && rng.range_u64(0, 4) > 0 {
+                        *slot = Some(ranges[rng.range_u64(0, ranges.len() as u64) as usize]);
+                    }
+                }
+                sent_acks.push(fresh);
+                let delivered = match rng.range_u64(0, 10) {
+                    0..=5 => fresh,
+                    6 => sent_acks[sent_acks.len().saturating_sub(2)],
+                    _ => {
+                        stale += 1;
+                        sent_acks[rng.range_u64(0, sent_acks.len() as u64) as usize]
+                    }
+                };
+                let (was_in_recovery, una_before) = (src.in_recovery, src.snd_una);
+                src.on_ack(delivered, &mut sim.core);
+                assert_scoreboard_invariant(&src, &format!("seed {seed} step {step} ack"));
+                episodes += usize::from(!was_in_recovery && src.in_recovery);
+                partials +=
+                    usize::from(was_in_recovery && src.in_recovery && src.snd_una > una_before);
+                max_lost = max_lost.max(src.lost.len());
+                if src.in_recovery && rng.range_u64(0, 100) == 0 {
+                    if let Some(id) = src.rto_timer {
+                        src.on_timer(TimerKind::Rto, id, &mut sim.core);
+                        assert_scoreboard_invariant(&src, &format!("seed {seed} step {step} rto"));
+                        rtos += 1;
+                    }
+                }
+            }
+        }
+        // The streams must have exercised what the invariant guards.
+        assert!(episodes > 50, "{episodes} recovery episodes");
+        assert!(partials > 50, "{partials} partial ACKs");
+        assert!(rtos > 5, "{rtos} mid-episode RTOs");
+        assert!(stale > 500, "{stale} stale ACKs");
+        assert!(max_lost > 100, "largest lost set only {max_lost}");
     }
 }
