@@ -429,24 +429,27 @@ impl RunResult {
 
     /// Applied-probability summary for a label (percent).
     pub fn prob_summary(&self, label: &str) -> Summary {
-        let samples: Vec<f64> = self
-            .monitor
-            .pooled_probs(label)
-            .iter()
-            .map(|&p| p as f64 * 100.0)
-            .collect();
-        Summary::of(&samples)
+        // Pooled in flow order, like `Monitor::pooled_probs`, but straight
+        // into the one working copy the summary reorders.
+        let m = &self.monitor;
+        let flows = m.flows_labelled(label);
+        let n = flows.iter().map(|&i| m.flows[i].prob_samples.len()).sum();
+        let mut samples = Vec::with_capacity(n);
+        for i in flows {
+            samples.extend(m.flows[i].prob_samples.iter().map(|&p| p as f64 * 100.0));
+        }
+        Summary::of_vec(samples)
     }
 
     /// Link-utilization summary (percent of capacity).
     pub fn util_summary(&self) -> Summary {
-        let samples: Vec<f64> = self
+        let samples = self
             .monitor
             .util_samples()
             .iter()
             .map(|&u| (u as f64 * 100.0).min(100.0))
             .collect();
-        Summary::of(&samples)
+        Summary::of_vec(samples)
     }
 
     /// The `(t, queue delay ms)` series.

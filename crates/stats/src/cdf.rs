@@ -49,9 +49,11 @@ impl Cdf {
         idx as f64 / self.sorted.len() as f64
     }
 
-    /// Inverse CDF (quantile), `q` in `[0, 1]`.
+    /// Inverse CDF (quantile), `q` in `[0, 1]`: the same value as
+    /// [`percentile`](crate::percentile) over the samples, read straight
+    /// from the sorted buffer.
     pub fn quantile(&self, q: f64) -> f64 {
-        crate::summary::percentile(&self.sorted, q)
+        crate::summary::quantile_sorted(&self.sorted, q)
     }
 
     /// Evaluate at `n` evenly spaced abscissae spanning the sample range,
@@ -128,5 +130,21 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn nan_rejected() {
         Cdf::new(vec![1.0, f64::NAN]);
+    }
+
+    #[test]
+    fn quantile_matches_the_sort_reference_bitwise() {
+        use crate::summary::reference;
+        for set in reference::sample_sets() {
+            let cdf = Cdf::new(set.clone());
+            for q in reference::probe_quantiles(set.len()) {
+                assert_eq!(
+                    cdf.quantile(q).to_bits(),
+                    reference::percentile(&set, q).to_bits(),
+                    "n={} q={q}",
+                    set.len()
+                );
+            }
+        }
     }
 }

@@ -4,6 +4,11 @@
 //! utilization summaries and rate-balance ratios. This crate provides the
 //! small, well-tested toolkit the experiment runners use to turn the raw
 //! samples collected by `pi2-netsim`'s monitor into those figures.
+//!
+//! Percentiles are exact and cost O(n) over one working copy of the
+//! samples, however many quantiles a [`Summary`] takes; they equal the
+//! stable-sort definition bit for bit (see [`summary`]). A [`Cdf`] sorts
+//! once and answers quantiles from its sorted buffer.
 
 pub mod cdf;
 pub mod series;

@@ -1,14 +1,44 @@
 //! Property-based tests for the statistics toolkit.
-
-// Entire suite gated off by default: `proptest` is a registry dependency
-// the offline build cannot fetch. See the `proptests` feature in Cargo.toml.
-#![cfg(feature = "proptests")]
+//!
+//! Part of the tier-1 gate (`cargo test`): `proptest` is the vendored
+//! offline shim, and the whole suite runs in well under a second at the
+//! default 256 cases.
 
 use pi2_stats::{jain_fairness, mean, percentile, stddev, Cdf, Summary};
 use proptest::prelude::*;
 
 fn finite_samples() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-1e6f64..1e6, 1..200)
+}
+
+/// Samples full of ties: a few small integers (as the monitor's quantized
+/// `f32` buffers produce), both signed zeros, and some spread.
+fn tied_samples() -> impl Strategy<Value = Vec<f64>> {
+    let value = prop_oneof![
+        (-3i64..4).prop_map(|k| k as f64),
+        Just(0.0),
+        Just(-0.0),
+        -10f64..10.0,
+    ];
+    prop::collection::vec(value, 0..300)
+}
+
+/// The quantile definition: a stable `partial_cmp` sort, then linear
+/// interpolation between the order statistics around `q·(n−1)`.
+fn sorted_quantile(samples: &[f64], q: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    if lo == hi {
+        sorted[lo]
+    } else {
+        let frac = pos - lo as f64;
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
 }
 
 proptest! {
@@ -94,5 +124,17 @@ proptest! {
         prop_assert!(s.p50 <= s.p99 + 1e-9);
         prop_assert!(s.p99 <= s.max + 1e-9);
         prop_assert!(s.mean <= s.max + 1e-9);
+    }
+
+    /// Every exact quantile equals the sort-based definition bit for bit,
+    /// signed zeros included.
+    #[test]
+    fn quantiles_equal_the_sort_definition_bitwise(samples in tied_samples(), q in 0.0f64..1.0) {
+        let want = |q: f64| sorted_quantile(&samples, q).to_bits();
+        prop_assert_eq!(percentile(&samples, q).to_bits(), want(q));
+        prop_assert_eq!(Cdf::new(samples.clone()).quantile(q).to_bits(), want(q));
+        let s = Summary::of(&samples);
+        let got = [s.p1, s.p25, s.p50, s.p99].map(f64::to_bits);
+        prop_assert_eq!(got, [0.01, 0.25, 0.50, 0.99].map(want));
     }
 }
